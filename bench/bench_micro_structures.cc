@@ -119,8 +119,7 @@ void BM_MappingCacheMixed(benchmark::State& state) {
                                      false, false, false});
     } else {
       cache.MarkDirty(e);
-      e->dirty = false;
-      cache.NoteCleaned();
+      cache.MarkClean(e);
     }
   }
   state.SetItemsProcessed(state.iterations());

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 
 status=0
 for doc in docs/*.md; do
-  refs=$(grep -oE '(src|tests|bench|examples|scripts|docs)/[A-Za-z0-9_./-]+\.(h|cc|cpp|md|sh|yml)' "$doc" | sort -u || true)
+  refs=$(grep -oE '(src|tests|bench|examples|scripts|docs|perfbench)/[A-Za-z0-9_./-]+\.(h|cc|cpp|md|sh|yml|py)' "$doc" | sort -u || true)
   for ref in $refs; do
     if [ ! -e "$ref" ]; then
       echo "ERROR: $doc references missing file: $ref"

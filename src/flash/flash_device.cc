@@ -293,11 +293,6 @@ bool FlashDevice::IsBadBlock(BlockId block_id) const {
   return blocks_[block_id].retired;
 }
 
-uint32_t FlashDevice::PagesWritten(BlockId block) const {
-  GECKO_CHECK_LT(block, geometry_.num_blocks);
-  return blocks_[block].write_pointer;
-}
-
 bool FlashDevice::IsWritten(PhysicalAddress addr) const {
   CheckAddress(addr);
   return pages_[FlatIndex(addr)].written;
@@ -311,11 +306,6 @@ uint32_t FlashDevice::EraseCount(BlockId block) const {
 uint64_t FlashDevice::LastEraseSeq(BlockId block) const {
   GECKO_CHECK_LT(block, geometry_.num_blocks);
   return blocks_[block].last_erase_seq;
-}
-
-uint64_t FlashDevice::LastProgramSeq(BlockId block) const {
-  GECKO_CHECK_LT(block, geometry_.num_blocks);
-  return blocks_[block].last_program_seq;
 }
 
 }  // namespace gecko

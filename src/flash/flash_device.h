@@ -41,6 +41,7 @@
 #include "flash/latency.h"
 #include "flash/spare_area.h"
 #include "flash/types.h"
+#include "util/check.h"
 
 namespace gecko {
 
@@ -239,7 +240,10 @@ class FlashDevice {
   // --- RAM-resident FTL bookkeeping that mirrors what firmware would know).
 
   /// Number of pages programmed in `block` since its last erase.
-  uint32_t PagesWritten(BlockId block) const;
+  uint32_t PagesWritten(BlockId block) const {
+    GECKO_CHECK_LT(block, geometry_.num_blocks);
+    return blocks_[block].write_pointer;
+  }
 
   /// Whether `addr` holds a programmed (not-yet-erased) page.
   bool IsWritten(PhysicalAddress addr) const;
@@ -259,7 +263,10 @@ class FlashDevice {
   /// Sequence number of the last page programmed into `block` (0 if none
   /// since the last erase). Firmware tracks this in RAM for free (8 bytes
   /// per block); cost-benefit GC uses it as the block's data age.
-  uint64_t LastProgramSeq(BlockId block) const;
+  uint64_t LastProgramSeq(BlockId block) const {
+    GECKO_CHECK_LT(block, geometry_.num_blocks);
+    return blocks_[block].last_program_seq;
+  }
 
   /// Flat page index of `addr` (block-major), for dense per-page arrays.
   uint64_t FlatIndex(PhysicalAddress addr) const {

@@ -63,41 +63,86 @@ Status AsyncEngine::Submit(IoRequest&& request, CompletionCb on_complete) {
     Dispatch(r);
   } else {
     ++stats_.parked;
+    parked_.push_back(seq);
   }
   return Status::Ok();
 }
 
 bool AsyncEngine::Grantable(const Inflight& r) const {
-  for (const DepKey& key : r.keys) {
-    auto it = key_claims_.find({static_cast<uint8_t>(key.space), key.id});
-    if (it == key_claims_.end()) continue;
-    for (const Claim& claim : it->second) {
-      if (claim.seq >= r.seq) break;  // FIFO: only earlier claims block
-      if (claim.exclusive || key.exclusive) return false;
+  for (size_t i = 0; i < r.keys.size(); ++i) {
+    const KeyClaims& k = keys_[claims_[r.claims[i]].key];
+    // FIFO: only earlier claims (smaller seq, nearer the head) block. An
+    // exclusive claim conflicts with any of them; a shared one only with
+    // an exclusive one, and there is none to find if the key counts none.
+    if (!r.keys[i].exclusive && k.exclusive == 0) continue;
+    for (uint32_t c = k.head; claims_[c].seq < r.seq; c = claims_[c].next) {
+      if (claims_[c].exclusive || r.keys[i].exclusive) return false;
     }
   }
   return true;
 }
 
-void AsyncEngine::ClaimKeys(const Inflight& r) {
-  for (const DepKey& key : r.keys) {
-    key_claims_[{static_cast<uint8_t>(key.space), key.id}].push_back(
-        Claim{r.seq, key.exclusive});
+void AsyncEngine::ClaimKeys(Inflight& r) {
+  r.claims.resize(r.keys.size());
+  for (size_t i = 0; i < r.keys.size(); ++i) {
+    const DepKey& key = r.keys[i];
+    GECKO_CHECK_LT(key.id, uint64_t{1} << 62);
+    const uint64_t packed = key.id << 2 | static_cast<uint64_t>(key.space);
+    uint32_t k = key_index_.Find(packed);
+    if (k == FlatIndexMap::kNone) {
+      if (free_keys_.empty()) {
+        k = static_cast<uint32_t>(keys_.size());
+        keys_.emplace_back();
+      } else {
+        k = free_keys_.back();
+        free_keys_.pop_back();
+      }
+      keys_[k] = KeyClaims{packed};
+      key_index_.Insert(packed, k);
+    }
+    uint32_t c;
+    if (free_claims_.empty()) {
+      c = static_cast<uint32_t>(claims_.size());
+      claims_.emplace_back();
+    } else {
+      c = free_claims_.back();
+      free_claims_.pop_back();
+    }
+    // Append at the tail: admission order is seq order.
+    KeyClaims& list = keys_[k];
+    claims_[c] = Claim{r.seq, k, list.tail, FlatIndexMap::kNone,
+                       key.exclusive};
+    if (list.tail != FlatIndexMap::kNone) {
+      claims_[list.tail].next = c;
+    } else {
+      list.head = c;
+    }
+    list.tail = c;
+    if (key.exclusive) ++list.exclusive;
+    r.claims[i] = c;
   }
 }
 
 void AsyncEngine::ReleaseKeys(const Inflight& r) {
-  for (const DepKey& key : r.keys) {
-    auto it = key_claims_.find({static_cast<uint8_t>(key.space), key.id});
-    GECKO_CHECK(it != key_claims_.end());
-    std::deque<Claim>& claims = it->second;
-    for (auto c = claims.begin(); c != claims.end(); ++c) {
-      if (c->seq == r.seq) {
-        claims.erase(c);
-        break;
-      }
+  for (uint32_t c : r.claims) {
+    const Claim& claim = claims_[c];
+    KeyClaims& list = keys_[claim.key];
+    if (claim.prev != FlatIndexMap::kNone) {
+      claims_[claim.prev].next = claim.next;
+    } else {
+      list.head = claim.next;
     }
-    if (claims.empty()) key_claims_.erase(it);
+    if (claim.next != FlatIndexMap::kNone) {
+      claims_[claim.next].prev = claim.prev;
+    } else {
+      list.tail = claim.prev;
+    }
+    if (claim.exclusive) --list.exclusive;
+    if (list.head == FlatIndexMap::kNone) {
+      key_index_.Erase(list.packed);
+      free_keys_.push_back(claim.key);
+    }
+    free_claims_.push_back(c);
   }
 }
 
@@ -200,10 +245,18 @@ uint64_t AsyncEngine::ProcessDueFetches() {
 void AsyncEngine::DispatchGrantableParked() {
   // Admission order; dispatching one cannot un-grant another (claims are
   // made at admission and only released at completion), so one pass is
-  // enough.
-  for (auto& [seq, r] : requests_) {
-    if (!r.dispatched && Grantable(r)) Dispatch(r);
+  // enough. Still-parked requests keep their order.
+  size_t kept = 0;
+  for (uint64_t seq : parked_) {
+    auto it = requests_.find(seq);
+    GECKO_CHECK(it != requests_.end());
+    if (Grantable(it->second)) {
+      Dispatch(it->second);
+    } else {
+      parked_[kept++] = seq;
+    }
   }
+  parked_.resize(kept);
 }
 
 uint64_t AsyncEngine::FireDueCompletions() {
@@ -293,7 +346,12 @@ uint64_t AsyncEngine::AbortAll() {
     pipeline_open_ = false;
   }
   completion_heap_ = {};
-  key_claims_.clear();
+  parked_.clear();
+  key_index_.Clear();
+  keys_.clear();
+  free_keys_.clear();
+  claims_.clear();
+  free_claims_.clear();
   // Translation fetches die with the power: their charged reads landed in
   // the stats like any dispatched op, but the parked extents they were
   // servicing never replay — each aborts with its request below. Zero the

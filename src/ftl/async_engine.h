@@ -34,16 +34,22 @@
 // host computes each request's dependency keys (it knows LPN->translation-
 // page geometry and the cache state); the engine only runs the lock table:
 // a request dispatches when every key it claims is compatible with every
-// earlier claim, and completions re-scan parked requests in admission
+// earlier claim, and completions re-scan the parked requests in admission
 // order. Keys are claimed all-at-once at admission in seq order, so the
 // wait-for graph is acyclic and progress is guaranteed (the earliest
 // in-flight request is always dispatched).
+//
+// The lock table is flat: a key's claims form an intrusive list, in
+// admission order, through one pool of claim nodes, and a flat hash map
+// (util/flat_index_map.h) finds a key's list head. Each key also counts
+// its exclusive claims, so a shared claim on a key nobody holds
+// exclusively — the common case: every request shares the global key —
+// is granted without walking the list.
 
 #ifndef GECKOFTL_FTL_ASYNC_ENGINE_H_
 #define GECKOFTL_FTL_ASYNC_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <queue>
 #include <utility>
@@ -51,6 +57,7 @@
 
 #include "flash/flash_device.h"
 #include "ftl/ftl.h"
+#include "util/flat_index_map.h"
 
 namespace gecko {
 
@@ -199,6 +206,8 @@ class AsyncEngine {
     CompletionCb on_complete;
     IoResult result;
     std::vector<DepKey> keys;
+    /// Claim node of each key, parallel to `keys`.
+    std::vector<uint32_t> claims;
     RequestClass cls = RequestClass::kWrite;
     double submit_us = 0;
     double complete_us = 0;
@@ -221,16 +230,25 @@ class AsyncEngine {
     std::vector<Waiter> waiters;
   };
 
-  /// A claim parked on one key's FIFO waiting list.
+  /// One claim on one key's FIFO waiting list (a node of the claim pool).
   struct Claim {
-    uint64_t seq;
-    bool exclusive;
+    uint64_t seq = 0;
+    uint32_t key = 0;  // index into keys_
+    uint32_t prev = FlatIndexMap::kNone;
+    uint32_t next = FlatIndexMap::kNone;
+    bool exclusive = false;
   };
-  using KeyId = std::pair<uint8_t, uint64_t>;  // (space, id)
+  /// A key with at least one live claim: its list, oldest first.
+  struct KeyClaims {
+    uint64_t packed = 0;  // key of key_index_
+    uint32_t head = FlatIndexMap::kNone;
+    uint32_t tail = FlatIndexMap::kNone;
+    uint32_t exclusive = 0;  // exclusive claims on the list
+  };
 
   /// Whether every key of `r` is compatible with all earlier claims.
   bool Grantable(const Inflight& r) const;
-  void ClaimKeys(const Inflight& r);
+  void ClaimKeys(Inflight& r);
   void ReleaseKeys(const Inflight& r);
 
   /// Services `r` through the host inside the engine window, capturing
@@ -258,7 +276,15 @@ class AsyncEngine {
   /// In-flight requests by admission seq (ordered: abort/park scans are
   /// deterministic).
   std::map<uint64_t, Inflight> requests_;
-  std::map<KeyId, std::deque<Claim>> key_claims_;
+  /// Admission seqs of requests waiting on a claim, in admission order.
+  std::vector<uint64_t> parked_;
+  /// The claim table: (space, id) -> index into keys_; keys_ and claims_
+  /// are pools whose freed slots are reused first.
+  FlatIndexMap key_index_;
+  std::vector<KeyClaims> keys_;
+  std::vector<uint32_t> free_keys_;
+  std::vector<Claim> claims_;
+  std::vector<uint32_t> free_claims_;
   using EventHeap =
       std::priority_queue<std::pair<double, uint64_t>,
                           std::vector<std::pair<double, uint64_t>>,

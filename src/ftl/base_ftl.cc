@@ -14,13 +14,15 @@ BaseFtl::BaseFtl(FlashDevice* device, const FtlConfig& config)
       // manager's auto-erase of fully-invalid metadata blocks instead.
       blocks_(device, !GcPolicyCollectsMetadata(config.gc_policy)),
       translation_(device->geometry(), device, &blocks_),
-      cache_(config.cache_capacity),
+      cache_(config.cache_capacity, translation_.entries_per_page()),
       hotness_(config.num_temp_classes == 0 ? 1 : config.num_temp_classes,
                config.hotness_sketch_bits, config.hotness_decay_period),
       victim_policy_(MakeGcVictimPolicy(config.gc_policy)),
       bvc_(device->geometry().num_blocks, 0),
       scheduler_(this, config),
       engine_(this, device, config.async_queue_depth) {
+  blocks_.SetEraseObserver(
+      [this](BlockId block) { translation_.OnBlockErased(block); });
   if (config.wear_leveling) {
     wear_ = std::make_unique<WearLeveler>(device, config.wear_gap_threshold);
   }
@@ -451,7 +453,9 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result) {
     // whole group — the first miss is the fetch, the rest coalesce.
     ++counters_.miss_fetches;
     counters_.miss_joins += group.size() - 1;
-    std::vector<PhysicalAddress> mappings =
+    // A copy: the evictions below may sync this page and erase the block
+    // holding the version just read.
+    const std::vector<PhysicalAddress> mappings =
         translation_.ReadTPage(tpage, IoPurpose::kTranslation);
     if (stall_on_miss_) {
       // Synchronous-miss baseline: the group's data reads may not issue
@@ -500,10 +504,10 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result) {
 void BaseFtl::IssueMappingFetch(uint64_t tpage) {
   ++counters_.miss_fetches;
   // One charged flash read pays for every extent parked on this
-  // translation page. The decoded image is discarded: data effects are
-  // synchronous in this simulator, so each replay peeks the then-current
-  // image instead of a snapshot (correct under concurrent GC migration
-  // and interleaved synchronizations of the page).
+  // translation page. The image is not kept: data effects are synchronous
+  // in this simulator, so each replay peeks the then-current image instead
+  // of a snapshot (correct under concurrent GC migration and interleaved
+  // synchronizations of the page).
   translation_.ReadTPage(static_cast<TPageId>(tpage), IoPurpose::kTranslation);
 }
 
@@ -552,14 +556,7 @@ void BaseFtl::FlushAll() {
   // then let the subclass flush its own volatile state (the Logarithmic
   // Gecko buffer for GeckoFTL).
   FlushPendingInvalid();
-  std::vector<TPageId> tpages;
-  for (Lpn lpn : cache_.LruToMruOrder()) {
-    const MappingEntry* e = cache_.Peek(lpn);
-    if (e != nullptr && e->dirty) tpages.push_back(translation_.TPageOf(lpn));
-  }
-  std::sort(tpages.begin(), tpages.end());
-  tpages.erase(std::unique(tpages.begin(), tpages.end()), tpages.end());
-  for (TPageId t : tpages) SyncTranslationPage(t);
+  for (TPageId t : cache_.DirtyTPages()) SyncTranslationPage(t);
   FlushMetadata();
 }
 
@@ -651,11 +648,9 @@ void BaseFtl::SyncTranslationPage(TPageId tpage) {
   if (dirty.empty()) return;
   ++counters_.sync_ops;
 
+  // A copy: it becomes the new version's image.
   std::vector<PhysicalAddress> mappings =
       translation_.ReadTPage(tpage, IoPurpose::kTranslation);
-  if (mappings.empty()) {
-    mappings.assign(translation_.entries_per_page(), kNullAddress);
-  }
 
   bool any_changed = false;
   for (Lpn lpn : dirty) {
@@ -666,10 +661,9 @@ void BaseFtl::SyncTranslationPage(TPageId tpage) {
     if (entry->uncertain && flash_ppa == entry->ppa) {
       // Appendix C.3.1: the restored entry was in fact clean; fix the
       // flags and omit it from the synchronization.
-      entry->dirty = false;
+      cache_.MarkClean(entry);
       entry->uip = false;
       entry->uncertain = false;
-      cache_.NoteCleaned();
       continue;
     }
 
@@ -692,10 +686,9 @@ void BaseFtl::SyncTranslationPage(TPageId tpage) {
     }
 
     mappings[lpn % translation_.entries_per_page()] = entry->ppa;
-    entry->dirty = false;
+    cache_.MarkClean(entry);
     entry->uip = false;
     entry->uncertain = false;
-    cache_.NoteCleaned();
     any_changed = true;
   }
 
@@ -890,6 +883,11 @@ BlockId BaseFtl::SelectVictim() {
   constexpr uint32_t kMigrationReserve = 4;
   const bool migration_safe = device_->NumBadBlocks() == 0 ||
                               blocks_.NumFreeBlocks() >= kMigrationReserve;
+  // The channel clocks cannot move during the scan: read each once.
+  std::vector<double> busy_us(g.num_channels);
+  for (ChannelId ch = 0; ch < g.num_channels; ++ch) {
+    busy_us[ch] = device_->ChannelBusyUntilUs(ch);
+  }
   BlockId best = SelectGcVictim(
       g.num_blocks, *victim_policy_, [&](BlockId b, GcVictimCandidate* c) {
         PageType type = blocks_.BlockType(b);
@@ -906,8 +904,7 @@ BlockId BaseFtl::SelectVictim() {
         c->pages_per_block = g.pages_per_block;
         uint64_t last = device_->LastProgramSeq(b);
         c->age = now_seq >= last ? now_seq - last : 0;
-        c->channel_busy_until_us =
-            device_->ChannelBusyUntilUs(device_->ChannelOf(b));
+        c->channel_busy_until_us = busy_us[g.ChannelOf(b)];
         return true;
       });
   // kInvalidU32 when nothing is collectable — the caller's problem
@@ -1141,11 +1138,11 @@ void BaseFtl::FinishCollection() {
     FlushPendingInvalid();
     pvm()->RecordErase(victim);
     bvc_[victim] = 0;
-    EraseBlockForGc(victim, IoPurpose::kGcMigration);
+    blocks_.EraseOrRetire(victim, IoPurpose::kGcMigration);
   } else {
-    EraseBlockForGc(victim, gc_.type == PageType::kTranslation
-                                ? IoPurpose::kTranslation
-                                : IoPurpose::kPvm);
+    blocks_.EraseOrRetire(victim, gc_.type == PageType::kTranslation
+                                      ? IoPurpose::kTranslation
+                                      : IoPurpose::kPvm);
   }
   gc_ = GcCursor{};
 }
@@ -1153,13 +1150,6 @@ void BaseFtl::FinishCollection() {
 void BaseFtl::MigratePvmPage(PhysicalAddress) {
   GECKO_CHECK(false) << "this FTL has no flash-resident validity pages to "
                         "migrate (or must override MigratePvmPage)";
-}
-
-void BaseFtl::EraseBlockForGc(BlockId block, IoPurpose purpose) {
-  translation_.OnBlockErased(block);
-  // Fault-aware: a block marked for retirement (or whose erase faults) is
-  // retired in the medium instead of returning to the pool.
-  blocks_.EraseOrRetire(block, purpose);
 }
 
 void BaseFtl::UpsertCacheEntry(Lpn lpn, PhysicalAddress ppa, bool uip) {
@@ -1187,15 +1177,7 @@ void BaseFtl::OnPowerFailing() {
   // out (Section 2). The IO happens on residual power and does not count
   // toward recovery time; it is charged to kOther so write-amplification
   // measurements remain clean.
-  std::vector<Lpn> lpns = cache_.LruToMruOrder();
-  std::vector<TPageId> tpages;
-  for (Lpn lpn : lpns) {
-    const MappingEntry* e = cache_.Peek(lpn);
-    if (e != nullptr && e->dirty) tpages.push_back(translation_.TPageOf(lpn));
-  }
-  std::sort(tpages.begin(), tpages.end());
-  tpages.erase(std::unique(tpages.begin(), tpages.end()), tpages.end());
-  for (TPageId t : tpages) SyncTranslationPage(t);
+  for (TPageId t : cache_.DirtyTPages()) SyncTranslationPage(t);
 }
 
 std::vector<BlockManager::BidEntry> BaseFtl::BuildBid(
@@ -1382,22 +1364,16 @@ void BaseFtl::SweepDeadMetadataBlocks() {
     if (blocks_.IsActive(b) || blocks_.IsPinned(b)) continue;
     if (blocks_.MetadataLivePages(b) != 0) continue;
     if (device_->PagesWritten(b) == 0) continue;
-    EraseBlockForGc(b, type == PageType::kTranslation ? IoPurpose::kTranslation
-                                                      : IoPurpose::kPvm);
+    blocks_.EraseOrRetire(b, type == PageType::kTranslation
+                                 ? IoPurpose::kTranslation
+                                 : IoPurpose::kPvm);
   }
 }
 
 void BaseFtl::SyncAllDirty(RecoveryReport* report) {
   RecoveryStep& step = report->Add("synchronize recovered entries");
   IoCounters before = device_->stats().Snapshot();
-  std::vector<TPageId> tpages;
-  for (Lpn lpn : cache_.LruToMruOrder()) {
-    const MappingEntry* e = cache_.Peek(lpn);
-    if (e != nullptr && e->dirty) tpages.push_back(translation_.TPageOf(lpn));
-  }
-  std::sort(tpages.begin(), tpages.end());
-  tpages.erase(std::unique(tpages.begin(), tpages.end()), tpages.end());
-  for (TPageId t : tpages) SyncTranslationPage(t);
+  for (TPageId t : cache_.DirtyTPages()) SyncTranslationPage(t);
   IoCounters delta = device_->stats().Snapshot() - before;
   step.page_reads = delta.TotalReads();
   step.page_writes = delta.TotalWrites();

@@ -322,11 +322,6 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// all-live, or grown bad blocks retired the spare capacity).
   BlockId SelectVictim();
 
-  /// Erases `block` through the device, dropping stale translation images
-  /// first, and returns it to the free pool — unless the block is marked
-  /// for retirement or its erase faults, in which case it is retired.
-  void EraseBlockForGc(BlockId block, IoPurpose purpose);
-
   /// Inserts (or updates) a cache entry for a freshly written/migrated
   /// page, evicting as needed. `uip` follows Section 4.1's rules.
   void UpsertCacheEntry(Lpn lpn, PhysicalAddress ppa, bool uip);

@@ -103,7 +103,7 @@ void LazyFtl::RebuildPvbFromTranslationTable(RecoveryReport* report) {
   for (auto& b : live) b = Bitmap(g.pages_per_block);
   for (TPageId t = 0; t < translation_.num_tpages(); ++t) {
     if (!translation_.Exists(t)) continue;
-    std::vector<PhysicalAddress> mappings =
+    const std::vector<PhysicalAddress>& mappings =
         translation_.ReadTPage(t, IoPurpose::kRecovery);
     ++step.page_reads;
     for (const PhysicalAddress& ppa : mappings) {

@@ -12,7 +12,9 @@ BlockManager::BlockManager(FlashDevice* device, bool auto_erase_metadata)
       block_type_(device->geometry().num_blocks, PageType::kFree),
       block_temp_(device->geometry().num_blocks, 0),
       meta_live_(device->geometry().num_blocks, 0),
-      free_pool_(stripe_) {
+      free_pool_(stripe_),
+      active_refs_(device->geometry().num_blocks, 0),
+      pinned_flag_(device->geometry().num_blocks, 0) {
   for (BlockId b = 0; b < device->geometry().num_blocks; ++b) {
     PushFreeBlock(b);  // refuses factory-bad blocks
   }
@@ -42,6 +44,15 @@ std::vector<PhysicalAddress>& BlockManager::ActivesFor(PageType type) {
   GECKO_CHECK(type != PageType::kFree)
       << "no active block for type " << PageTypeName(type);
   return actives_[static_cast<int>(type)];
+}
+
+void BlockManager::SetSlot(PhysicalAddress* slot, PhysicalAddress value) {
+  if (slot->IsValid()) {
+    GECKO_CHECK_GT(active_refs_[slot->block], 0u);
+    --active_refs_[slot->block];
+  }
+  if (value.IsValid()) ++active_refs_[value.block];
+  *slot = value;
 }
 
 void BlockManager::PushFreeBlock(BlockId block) {
@@ -108,7 +119,7 @@ PhysicalAddress BlockManager::AllocatePage(PageType type, uint32_t stream,
 #endif
     block_type_[block] = type;
     block_temp_[block] = temp;
-    *active = PhysicalAddress{block, 0};
+    SetSlot(active, PhysicalAddress{block, 0});
     // A metadata block can become fully invalid while it is still the
     // active append target (stream-affine placement makes this common: a
     // block's own later pages supersede its earlier ones). The erase
@@ -150,7 +161,7 @@ void BlockManager::OnProgramFailed(PhysicalAddress addr) {
   // fully-invalid-metadata policy) reclaims the block.
   for (auto& actives : actives_) {
     for (PhysicalAddress& a : actives) {
-      if (a.IsValid() && a.block == addr.block) a = kNullAddress;
+      if (a.IsValid() && a.block == addr.block) SetSlot(&a, kNullAddress);
     }
   }
   // Vacating the slot skips the usual retire-time re-check; a fully
@@ -179,6 +190,8 @@ void BlockManager::MaybeEraseMetadataBlock(BlockId block) {
 }
 
 bool BlockManager::EraseOrRetire(BlockId block, IoPurpose purpose) {
+  // Both outcomes below leave the block's pages empty.
+  if (erase_observer_) erase_observer_(block);
   if (bad_blocks_.ShouldRetire(block)) {
     // Marked for retirement (fail budget exhausted) — or already retired
     // in the medium. No erase attempt; the block leaves circulation.
@@ -202,18 +215,20 @@ bool BlockManager::EraseOrRetire(BlockId block, IoPurpose purpose) {
   return true;
 }
 
-bool BlockManager::IsActive(BlockId block) const {
+std::vector<BlockId> BlockManager::ActiveBlocks() const {
+  std::vector<BlockId> out;
   for (const auto& actives : actives_) {
     for (const PhysicalAddress& a : actives) {
-      if (a.IsValid() && a.block == block) return true;
+      if (a.IsValid()) out.push_back(a.block);
     }
   }
-  return false;
+  return out;
 }
 
 void BlockManager::Pin(BlockId block, uint64_t seq) {
   auto it = pinned_.find(block);
   if (it == pinned_.end() || it->second < seq) pinned_[block] = seq;
+  pinned_flag_[block] = 1;
 }
 
 void BlockManager::UnpinThrough(uint64_t seq) {
@@ -221,6 +236,7 @@ void BlockManager::UnpinThrough(uint64_t seq) {
     if (it->second <= seq) {
       BlockId block = it->first;
       it = pinned_.erase(it);
+      pinned_flag_[block] = 0;
       // The pin may have been the only thing delaying an erase.
       if (auto_erase_metadata_ && block_type_[block] != PageType::kUser &&
           block_type_[block] != PageType::kFree) {
@@ -255,9 +271,11 @@ void BlockManager::ResetRamState() {
   for (auto& actives : actives_) {
     std::fill(actives.begin(), actives.end(), kNullAddress);
   }
+  std::fill(active_refs_.begin(), active_refs_.end(), uint8_t{0});
   next_slot_.fill(0);
   std::fill(user_next_slot_.begin(), user_next_slot_.end(), 0u);
   pinned_.clear();
+  std::fill(pinned_flag_.begin(), pinned_flag_.end(), uint8_t{0});
   // Pending retirement marks are lost with the RAM; blocks already retired
   // persist in the medium and PushFreeBlock keeps refusing them.
   bad_blocks_.ResetRamState();
@@ -316,8 +334,8 @@ void BlockManager::RecoverFromBid(const std::vector<BidEntry>& bid) {
     for (uint32_t slot = 0; slot < partials.size(); ++slot) {
       const Partial& p = partials[slot];
       if (p.block != kInvalidU32) {
-        actives[slot] =
-            PhysicalAddress{p.block, device_->PagesWritten(p.block)};
+        SetSlot(&actives[slot],
+                PhysicalAddress{p.block, device_->PagesWritten(p.block)});
       }
     }
   }

@@ -24,7 +24,9 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "flash/flash_device.h"
@@ -75,8 +77,12 @@ class BlockManager : public PageAllocator {
 
   PageType BlockType(BlockId block) const { return block_type_[block]; }
   /// Whether `block` is any group's active append block (any stripe slot).
-  bool IsActive(BlockId block) const;
-  bool IsPinned(BlockId block) const { return pinned_.count(block) > 0; }
+  bool IsActive(BlockId block) const { return active_refs_[block] > 0; }
+  /// Every block a stripe slot currently holds, found by scanning the
+  /// slots (a block held by several slots is listed once per slot). For
+  /// tests and invariant checks; the hot path asks IsActive.
+  std::vector<BlockId> ActiveBlocks() const;
+  bool IsPinned(BlockId block) const { return pinned_flag_[block] != 0; }
   uint32_t NumFreeBlocks() const { return free_pool_.size(); }
   /// Smallest the free pool has ever been right after a block was taken.
   /// Lifetime, including allocations made while recovery itself runs —
@@ -110,6 +116,14 @@ class BlockManager : public PageAllocator {
   /// type maps as free-but-unusable, and never re-enters the pool
   /// (false). The single erase primitive all reclamation goes through.
   bool EraseOrRetire(BlockId block, IoPurpose purpose);
+
+  /// Called by EraseOrRetire with every block whose contents it erases or
+  /// retires, whichever path reclaimed it (GC, the Section 4.2 auto-erase,
+  /// the post-recovery sweep). The translation table drops the images of
+  /// the versions that block held.
+  void SetEraseObserver(std::function<void(BlockId)> observer) {
+    erase_observer_ = std::move(observer);
+  }
 
   /// Grown-bad bookkeeping (fail counts, retirement policy, counters).
   BadBlockManager& bad_blocks() { return bad_blocks_; }
@@ -151,6 +165,9 @@ class BlockManager : public PageAllocator {
 
  private:
   std::vector<PhysicalAddress>& ActivesFor(PageType type);
+  /// Points a stripe slot at `value`, keeping active_refs_ in step. Every
+  /// change of the block a slot holds goes through here.
+  void SetSlot(PhysicalAddress* slot, PhysicalAddress value);
   bool IsActiveAnywhere() const;
   void PushFreeBlock(BlockId block);
   void MaybeEraseMetadataBlock(BlockId block);
@@ -178,7 +195,11 @@ class BlockManager : public PageAllocator {
   /// Round-robin cursor per user temperature class.
   std::vector<uint32_t> user_next_slot_ = std::vector<uint32_t>(1, 0);
   bool compact_mode_ = false;
+  /// Per block: how many stripe slots hold it (IsActive without a scan).
+  std::vector<uint8_t> active_refs_;
   std::map<BlockId, uint64_t> pinned_;  // block -> pin sequence
+  std::vector<uint8_t> pinned_flag_;    // per block: present in pinned_
+  std::function<void(BlockId)> erase_observer_;
   uint64_t metadata_blocks_erased_ = 0;
   uint32_t free_pool_low_ = ~0u;
 };

@@ -55,7 +55,7 @@ class GcVictimPolicy {
 };
 
 /// Greedy: the block with the fewest valid pages.
-class GreedyVictimPolicy : public GcVictimPolicy {
+class GreedyVictimPolicy final : public GcVictimPolicy {
  public:
   const char* Name() const override { return "greedy"; }
   double Score(const GcVictimCandidate& c) const override {
@@ -78,7 +78,7 @@ class GreedyVictimPolicy : public GcVictimPolicy {
 /// age term exists to discriminate, so no per-channel normalization is
 /// needed. Pinned by CostBenefitAgeComparableAcrossChannels in
 /// tests/ftl/policy_behavior_test.cc.
-class CostBenefitVictimPolicy : public GcVictimPolicy {
+class CostBenefitVictimPolicy final : public GcVictimPolicy {
  public:
   const char* Name() const override { return "cost-benefit"; }
   double Score(const GcVictimCandidate& c) const override {
@@ -101,14 +101,12 @@ inline bool GcPolicyCollectsMetadata(GcPolicy policy) {
   return policy == GcPolicy::kGreedyAll;
 }
 
-/// One linear victim scan over blocks [0, num_blocks). `describe` fills a
-/// candidate for an eligible block and returns true, or returns false to
-/// skip it. Returns the block with the lowest score — ties prefer the
-/// longest-idle channel, then the lowest block id — or kInvalidU32 when no
-/// block is eligible. Shared by BaseFtl::SelectVictim and PvmDriver.
-template <typename DescribeFn>
-BlockId SelectGcVictim(uint32_t num_blocks, const GcVictimPolicy& policy,
-                       DescribeFn&& describe) {
+/// The scan loop of SelectGcVictim for one policy type. Instantiated
+/// with a `final` policy class, the per-block Score call is direct and
+/// inlines.
+template <typename Policy, typename DescribeFn>
+BlockId ScanGcVictims(uint32_t num_blocks, const Policy& policy,
+                      DescribeFn& describe) {
   BlockId best = kInvalidU32;
   double best_score = 0;
   double best_busy = 0;
@@ -125,6 +123,24 @@ BlockId SelectGcVictim(uint32_t num_blocks, const GcVictimPolicy& policy,
     }
   }
   return best;
+}
+
+/// One linear victim scan over blocks [0, num_blocks). `describe` fills a
+/// candidate for an eligible block and returns true, or returns false to
+/// skip it. Returns the block with the lowest score — ties prefer the
+/// longest-idle channel, then the lowest block id — or kInvalidU32 when no
+/// block is eligible. Shared by BaseFtl::SelectVictim and PvmDriver. The
+/// policy's concrete type is resolved once per scan, not once per block.
+template <typename DescribeFn>
+BlockId SelectGcVictim(uint32_t num_blocks, const GcVictimPolicy& policy,
+                       DescribeFn&& describe) {
+  if (const auto* greedy = dynamic_cast<const GreedyVictimPolicy*>(&policy)) {
+    return ScanGcVictims(num_blocks, *greedy, describe);
+  }
+  if (const auto* cb = dynamic_cast<const CostBenefitVictimPolicy*>(&policy)) {
+    return ScanGcVictims(num_blocks, *cb, describe);
+  }
+  return ScanGcVictims(num_blocks, policy, describe);
 }
 
 }  // namespace gecko

@@ -107,13 +107,11 @@ void GeckoFtl::RecoverBufferInvalidations(RecoveryReport* report) {
       const std::vector<PhysicalAddress>& current =
           translation_.ReadVersion(v.versions[i].addr, IoPurpose::kRecovery);
       ++step.page_reads;
-      std::vector<PhysicalAddress> previous(current.size(), kNullAddress);
-      if (i > 0) {
-        previous =
-            translation_.ReadVersion(v.versions[i - 1].addr,
-                                     IoPurpose::kRecovery);
-        ++step.page_reads;
-      }
+      // The oldest readable version has nothing to diff against.
+      if (i == 0) continue;
+      const std::vector<PhysicalAddress>& previous = translation_.ReadVersion(
+          v.versions[i - 1].addr, IoPurpose::kRecovery);
+      ++step.page_reads;
       for (size_t e = 0; e < current.size(); ++e) {
         PhysicalAddress old = previous[e];
         if (!old.IsValid() || old == current[e]) continue;

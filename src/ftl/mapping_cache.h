@@ -10,23 +10,27 @@
 //               flags are assumed-true until a synchronization operation
 //               verifies them (Appendix C.3).
 //
-// The cache is a tree (std::map) so synchronization operations can range-
-// scan all entries belonging to one translation page (footnote 6). An
-// intrusive LRU list orders entries by recency and can carry checkpoint
-// symbols (Section 4.3): dummy nodes marking where a checkpoint happened.
+// Layout: entries live in a node array; a flat open-addressing hash table
+// (util/flat_index_map.h) maps an lpn to its node. An
+// intrusive doubly-linked list through the nodes orders them by recency,
+// and a second one per translation page links that page's dirty entries,
+// so a synchronization operation finds the entries it flushes together
+// (footnote 6) without a range scan over the whole cache. Lookups,
+// inserts, erases and recency updates are O(1); nothing is allocated per
+// entry. Checkpoints (Section 4.3) keep a per-entry dirtying epoch rather
+// than symbols in the LRU list; see TakeCheckpoint.
 
 #ifndef GECKOFTL_FTL_MAPPING_CACHE_H_
 #define GECKOFTL_FTL_MAPPING_CACHE_H_
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "flash/types.h"
 #include "util/check.h"
+#include "util/flat_index_map.h"
 
 namespace gecko {
 
@@ -44,19 +48,24 @@ struct MappingEntry {
 
 class MappingCache {
  public:
-  explicit MappingCache(uint32_t capacity) : capacity_(capacity) {
-    GECKO_CHECK_GT(capacity, 0u);
-  }
+  /// `lpns_per_tpage` is the number of mapping entries one translation
+  /// page holds: the grouping of the dirty index that serves DirtyInRange
+  /// and TakeCheckpoint. The default makes every lpn its own group.
+  explicit MappingCache(uint32_t capacity, uint32_t lpns_per_tpage = 1);
 
   /// Looks up `lpn` and refreshes its recency. Returns nullptr on miss.
+  /// Entry pointers stay valid until the next Insert, Erase or Reset.
   MappingEntry* Find(Lpn lpn);
 
   /// Looks up without touching recency (used by GC's UIP check, which
   /// inspects the cache rather than using it).
-  const MappingEntry* Peek(Lpn lpn) const;
+  const MappingEntry* Peek(Lpn lpn) const {
+    uint32_t node = index_.Find(lpn);
+    return node == kNone ? nullptr : &entries_[node];
+  }
 
   /// Whether `lpn` is cached, without touching recency.
-  bool Contains(Lpn lpn) const { return Peek(lpn) != nullptr; }
+  bool Contains(Lpn lpn) const { return index_.Find(lpn) != kNone; }
 
   /// Inserts a new entry at MRU. The caller must have made room first
   /// (while NeedsEviction(): evict). Aborts if `lpn` is already present.
@@ -70,7 +79,7 @@ class MappingCache {
   /// caller must still have made room first when the lpn is absent.
   MappingEntry* InsertIfAbsent(Lpn lpn, const MappingEntry& entry);
 
-  bool NeedsEviction() const { return entries_.size() >= capacity_; }
+  bool NeedsEviction() const { return index_.size() >= capacity_; }
 
   /// Returns the least-recently-used lpn without removing it.
   Lpn PeekLru() const;
@@ -97,17 +106,21 @@ class MappingCache {
   /// Removes `lpn` from the cache.
   void Erase(Lpn lpn);
 
-  /// Dirty entries whose lpn lies in [lo, hi] — the entries one
-  /// synchronization operation flushes together.
+  /// Dirty entries whose lpn lies in [lo, hi], in ascending lpn order —
+  /// the entries one synchronization operation flushes together.
   std::vector<Lpn> DirtyInRange(Lpn lo, Lpn hi) const;
+
+  /// Translation pages holding at least one dirty entry, ascending (what
+  /// a full flush synchronizes).
+  std::vector<uint32_t> DirtyTPages() const;
 
   /// Oldest dirty entry in LRU order (for the dirty-entry cap of LazyFTL
   /// and IB-FTL). Returns false if there are no dirty entries.
   bool OldestDirty(Lpn* out) const;
 
   /// Takes a checkpoint (Section 4.3): returns the dirty lpns whose last
-  /// *update* predates the previous checkpoint, which the caller must
-  /// synchronize, and advances the checkpoint epoch.
+  /// *update* predates the previous checkpoint, in ascending lpn order,
+  /// which the caller must synchronize, and advances the checkpoint epoch.
   ///
   /// The paper describes this as a backward walk of the LRU queue between
   /// two checkpoint symbols. That formulation bounds staleness by *use*
@@ -121,13 +134,11 @@ class MappingCache {
 
   /// Marks an entry dirty, stamping the current checkpoint epoch. All
   /// dirtying must go through here (or Insert with dirty=true).
-  void MarkDirty(MappingEntry* entry) {
-    if (!entry->dirty) {
-      entry->dirty = true;
-      ++dirty_count_;
-    }
-    entry->dirty_epoch = epoch_;
-  }
+  void MarkDirty(MappingEntry* entry);
+
+  /// Clears an entry's dirty flag once its mapping reached flash. All
+  /// cleaning must go through here.
+  void MarkClean(MappingEntry* entry);
 
   uint64_t epoch() const { return epoch_; }
 
@@ -140,16 +151,9 @@ class MappingCache {
   /// scan's coverage.
   void AdvanceEpoch() { ++epoch_; }
 
-  uint32_t size() const { return static_cast<uint32_t>(entries_.size()); }
+  uint32_t size() const { return index_.size(); }
   uint32_t capacity() const { return capacity_; }
   uint32_t dirty_count() const { return dirty_count_; }
-
-  /// Bumps down the dirty counter; callers invoke this when clearing an
-  /// entry's dirty flag (dirtying goes through MarkDirty).
-  void NoteCleaned() {
-    GECKO_CHECK_GT(dirty_count_, 0u);
-    --dirty_count_;
-  }
 
   /// Drops everything (power failure).
   void Reset();
@@ -159,18 +163,33 @@ class MappingCache {
   std::vector<Lpn> LruToMruOrder() const;
 
  private:
-  using LruList = std::list<Lpn>;
+  static constexpr uint32_t kNone = FlatIndexMap::kNone;
 
-  struct Node {
-    MappingEntry entry;
-    LruList::iterator lru_it;
+  /// Per-node links, parallel to entries_.
+  struct Links {
+    Lpn lpn = 0;
+    uint32_t lru_prev = kNone;  // toward LRU
+    uint32_t lru_next = kNone;  // toward MRU
+    uint32_t dirty_prev = kNone;
+    uint32_t dirty_next = kNone;
   };
-
-  void Touch(std::map<Lpn, Node>::iterator it);
+  uint32_t NodeOf(const MappingEntry* entry) const;
+  uint32_t TPageOf(Lpn lpn) const { return lpn / lpns_per_tpage_; }
+  void LruUnlink(uint32_t node);
+  void LruPushMru(uint32_t node);
+  void DirtyLink(uint32_t node);
+  void DirtyUnlink(uint32_t node);
 
   uint32_t capacity_;
-  std::map<Lpn, Node> entries_;
-  LruList lru_;  // front = LRU, back = MRU
+  uint32_t lpns_per_tpage_;
+  FlatIndexMap index_;                 // lpn -> node
+  std::vector<MappingEntry> entries_;  // node array
+  std::vector<Links> links_;           // parallel to entries_
+  std::vector<uint32_t> free_nodes_;   // erased nodes, reused first
+  uint32_t lru_head_ = kNone;          // LRU end
+  uint32_t lru_tail_ = kNone;          // MRU end
+  /// Head of each translation page's dirty list (kNone: no dirty entry).
+  std::vector<uint32_t> dirty_head_;
   uint32_t dirty_count_ = 0;
   uint64_t epoch_ = 1;
   EvictionScorer scorer_;    // unset = pure LRU eviction

@@ -10,14 +10,13 @@ TranslationTable::TranslationTable(const Geometry& geometry,
       allocator_(allocator),
       entries_per_page_(geometry.MappingEntriesPerTranslationPage()),
       num_tpages_(static_cast<uint32_t>(geometry.NumTranslationPages())),
-      gmd_(num_tpages_, kNullAddress) {}
+      gmd_(num_tpages_, kNullAddress),
+      unmapped_page_(entries_per_page_, kNullAddress) {}
 
-std::vector<PhysicalAddress> TranslationTable::ReadTPage(TPageId t,
-                                                         IoPurpose purpose) {
+const std::vector<PhysicalAddress>& TranslationTable::ReadTPage(
+    TPageId t, IoPurpose purpose) {
   GECKO_CHECK_LT(t, num_tpages_);
-  if (!gmd_[t].IsValid()) {
-    return std::vector<PhysicalAddress>(entries_per_page_, kNullAddress);
-  }
+  if (!gmd_[t].IsValid()) return unmapped_page_;
   return ReadVersion(gmd_[t], purpose);
 }
 

@@ -44,8 +44,11 @@ class TranslationTable {
   /// Reads translation page `t` from flash (one charged page read) and
   /// returns its mapping array (always entries_per_page entries; unmapped
   /// slots are kNullAddress). If the page was never written, returns an
-  /// all-kNullAddress array without performing any IO.
-  std::vector<PhysicalAddress> ReadTPage(TPageId t, IoPurpose purpose);
+  /// all-kNullAddress array without performing any IO. The reference is
+  /// to the flash image itself: it stays valid until the version's block
+  /// is erased, so a caller that commits or evicts while reading it must
+  /// copy it first.
+  const std::vector<PhysicalAddress>& ReadTPage(TPageId t, IoPurpose purpose);
 
   /// Single-entry lookup: one charged page read (or none if the
   /// translation page does not exist). Returns kNullAddress if unmapped.
@@ -78,8 +81,12 @@ class TranslationTable {
 
   uint64_t GmdRamBytes() const { return uint64_t{num_tpages_} * 8; }
 
-  /// Drops stale version images on an erased block. Must be called before
-  /// any block is erased by GC.
+  /// Translation-page versions whose images the flash model holds (every
+  /// programmed version on a not-yet-erased block).
+  uint64_t NumRetainedImages() const { return images_.size(); }
+
+  /// Drops the version images held by an erased or retired block. The
+  /// block manager calls it from EraseOrRetire, the one erase primitive.
   void OnBlockErased(BlockId block);
 
   // --- Recovery ----------------------------------------------------------
@@ -118,6 +125,8 @@ class TranslationTable {
   uint32_t num_tpages_;
   /// GMD: current location of each translation page (volatile RAM).
   std::vector<PhysicalAddress> gmd_;
+  /// What ReadTPage returns for a page that was never written.
+  const std::vector<PhysicalAddress> unmapped_page_;
   /// Flash payload model: every written translation-page version, keyed by
   /// flat physical index. Persists across power failure; entries vanish
   /// when their block is erased.

@@ -5,11 +5,13 @@
 // in flight.
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ftl/async_engine.h"
 #include "ftl/base_ftl.h"
 #include "tests/ftl/ftl_test_util.h"
 #include "util/random.h"
@@ -532,6 +534,121 @@ TEST_P(AsyncSubmitTest, CrashChurnDuringMissFetchesKeepsGaugesClean) {
   EXPECT_EQ(es.parked_extents,
             es.replayed_extents + es.aborted_parked_extents);
   EXPECT_GT(es.parked_extents, 0u);
+}
+
+// Claim-table semantics, pinned on the engine alone. A scripted host
+// declares each request's dependency keys by tag (the request's first
+// lpn) and services it with `reads` page reads on block `block`, so the
+// test controls both conflicts and device-time completion order.
+class ScriptedHost : public AsyncHost {
+ public:
+  struct Script {
+    std::vector<DepKey> keys;
+    uint32_t reads = 1;
+    BlockId block = 0;
+  };
+
+  explicit ScriptedHost(FlashDevice* device) : device_(device) {}
+
+  void ExecuteRequest(IoRequest& request, IoResult* result,
+                      MissSink*) override {
+    const Script& s = scripts.at(request.extents[0].lpn);
+    executed.push_back(request.extents[0].lpn);
+    result->extent_status.assign(request.extents.size(), Status::Ok());
+    for (uint32_t i = 0; i < s.reads; ++i) {
+      device_->ReadPage({s.block, 0}, IoPurpose::kUserRead);
+    }
+  }
+  void IssueMappingFetch(uint64_t) override {}
+  void ResolveParkedExtent(IoRequest&, IoResult*, size_t) override {}
+  void NoteCoalescedMiss() override {}
+  std::vector<DepKey> DependencyKeys(const IoRequest& request) override {
+    return scripts.at(request.extents[0].lpn).keys;
+  }
+
+  std::map<Lpn, Script> scripts;
+  std::vector<Lpn> executed;  // tags in dispatch order
+
+ private:
+  FlashDevice* device_;
+};
+
+Geometry TwoChannelGeometry() {
+  Geometry g = FtlTestGeometry(2);
+  return g;
+}
+
+TEST(AsyncClaimTableTest, SharedClaimsOverlapAndEarlierExclusiveBlocks) {
+  FlashDevice device(TwoChannelGeometry());
+  ScriptedHost host(&device);
+  AsyncEngine engine(&host, &device, 16);
+  const DepKey k_shared = DepKey::Lpn(7, false);
+  const DepKey k_excl = DepKey::Lpn(7, true);
+  host.scripts[1] = {{k_shared}, 1, 0};
+  host.scripts[2] = {{k_shared}, 1, 1};
+  host.scripts[3] = {{k_excl}, 1, 0};
+  host.scripts[4] = {{k_shared}, 1, 1};                  // behind 3
+  host.scripts[5] = {{DepKey::Lpn(8, false)}, 1, 1};     // unrelated key
+  host.scripts[6] = {{k_shared, DepKey::Lpn(8, true)}, 1, 0};  // behind 3
+
+  std::vector<Lpn> fired;
+  for (Lpn tag = 1; tag <= 6; ++tag) {
+    ASSERT_TRUE(engine
+                    .Submit(IoRequest::Read({tag}),
+                            [&fired, tag](const IoResult&,
+                                          const AsyncCompletion&) {
+                              fired.push_back(tag);
+                            })
+                    .ok());
+  }
+  // Shared + shared is granted at once; the exclusive claim waits for
+  // both, and every later claim on the key queues behind it (FIFO), even
+  // a shared one. A request on an unrelated key is not held up.
+  EXPECT_EQ(host.executed, (std::vector<Lpn>{1, 2, 5}));
+  EXPECT_EQ(engine.stats().parked, 3u);
+
+  engine.DrainAll();
+  EXPECT_EQ(host.executed, (std::vector<Lpn>{1, 2, 5, 3, 4, 6}));
+  ASSERT_EQ(fired.size(), 6u);
+  // 3 completes before 4 and 6 are even dispatched.
+  EXPECT_LT(std::find(fired.begin(), fired.end(), 3),
+            std::find(fired.begin(), fired.end(), 4));
+  EXPECT_LT(std::find(fired.begin(), fired.end(), 3),
+            std::find(fired.begin(), fired.end(), 6));
+  EXPECT_TRUE(engine.idle());
+}
+
+TEST(AsyncClaimTableTest, ReleasesMayComeOutOfOrder) {
+  FlashDevice device(TwoChannelGeometry());
+  ScriptedHost host(&device);
+  AsyncEngine engine(&host, &device, 16);
+  const DepKey k_shared = DepKey::Lpn(3, false);
+  // 1 is slow (five reads on channel 0), 2 is fast (one read on channel
+  // 1): the two shared claims release in the reverse of their admission
+  // order, and the exclusive 3 must wait for the later release.
+  host.scripts[1] = {{k_shared}, 5, 0};
+  host.scripts[2] = {{k_shared}, 1, 1};
+  host.scripts[3] = {{DepKey::Lpn(3, true)}, 1, 1};
+
+  std::vector<Lpn> fired;
+  std::vector<size_t> executed_at_fire;
+  for (Lpn tag = 1; tag <= 3; ++tag) {
+    ASSERT_TRUE(engine
+                    .Submit(IoRequest::Read({tag}),
+                            [&, tag](const IoResult&, const AsyncCompletion&) {
+                              fired.push_back(tag);
+                              executed_at_fire.push_back(
+                                  host.executed.size());
+                            })
+                    .ok());
+  }
+  engine.DrainAll();
+  EXPECT_EQ(fired, (std::vector<Lpn>{2, 1, 3}));
+  // When 2 released, 1 still held the key: 3 stayed parked. 1's release
+  // dispatched it.
+  EXPECT_EQ(executed_at_fire, (std::vector<size_t>{2, 3, 3}));
+  EXPECT_EQ(engine.stats().parked, 1u);
+  EXPECT_TRUE(engine.idle());
 }
 
 GECKO_INSTANTIATE_CHANNEL_FTL_SUITE(AsyncSubmitTest);

@@ -1,6 +1,12 @@
 #include "ftl/block_manager.h"
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "util/random.h"
 
 namespace gecko {
 namespace {
@@ -162,6 +168,118 @@ TEST(BlockManagerTest, RecoverFromBidRestoresTypesAndActives) {
   PhysicalAddress next = bm.AllocatePage(PageType::kUser);
   EXPECT_EQ(dev.PagesWritten(next.block), next.page);
   dev.WritePage(next, Spare(PageType::kUser, 99), 99, IoPurpose::kUserWrite);
+}
+
+// IsActive and IsPinned are answered from per-block bookkeeping; these
+// compare them against a brute-force view after every operation that
+// assigns or vacates a stripe slot or changes a pin: allocation (normal,
+// stream-affine and compact), program-fail vacates, auto-erase, BID
+// recovery and the RAM reset.
+void ExpectBookkeepingMatchesBruteForce(
+    const BlockManager& bm, uint32_t num_blocks,
+    const std::map<BlockId, uint64_t>& pins) {
+  const std::vector<BlockId> held = bm.ActiveBlocks();
+  for (BlockId b = 0; b < num_blocks; ++b) {
+    const bool active = std::find(held.begin(), held.end(), b) != held.end();
+    ASSERT_EQ(bm.IsActive(b), active) << "block " << b;
+    ASSERT_EQ(bm.IsPinned(b), pins.count(b) > 0) << "block " << b;
+  }
+  ASSERT_EQ(bm.NumPinned(), pins.size());
+}
+
+TEST(BlockManagerTest, ActiveAndPinnedMatchBruteForceUnderRandomOps) {
+  Geometry g = SmallGeometry();
+  g.num_blocks = 48;
+  g.num_channels = 4;
+  const PageType kTypes[] = {PageType::kUser, PageType::kTranslation,
+                             PageType::kPvm};
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    FlashDevice dev(g);
+    BlockManager bm(&dev, /*auto_erase_metadata=*/true);
+    bm.ConfigureTempClasses(2);
+    Rng rng(seed);
+    std::map<BlockId, uint64_t> pins;          // model of the pin set
+    std::vector<PhysicalAddress> live_meta;    // metadata pages still live
+    uint64_t seq = 0;
+    for (int op = 0; op < 3000; ++op) {
+      const uint64_t kind = rng.Uniform(100);
+      if (kind < 55 && bm.NumFreeBlocks() > 6) {
+        PageType type = kTypes[rng.Uniform(3)];
+        uint32_t stream = rng.Bernoulli(0.3)
+                              ? static_cast<uint32_t>(rng.Uniform(8))
+                              : kNoStream;
+        bm.set_compact_mode(rng.Bernoulli(0.2));
+        PhysicalAddress a = bm.AllocatePage(
+            type, stream, static_cast<uint8_t>(rng.Uniform(2)));
+        dev.WritePage(a, Spare(type), 0, IoPurpose::kOther);
+        if (type != PageType::kUser) live_meta.push_back(a);
+      } else if (kind < 75 && !live_meta.empty()) {
+        // Invalidate a metadata page; the last one auto-erases its block.
+        size_t i = rng.Uniform(live_meta.size());
+        PhysicalAddress a = live_meta[i];
+        live_meta[i] = live_meta.back();
+        live_meta.pop_back();
+        bm.OnMetadataPageInvalidated(a);
+      } else if (kind < 85) {
+        // Reclaim a full, idle user block the way GC does.
+        for (BlockId b = 0; b < g.num_blocks; ++b) {
+          if (bm.BlockType(b) == PageType::kUser && !bm.IsActive(b) &&
+              dev.PagesWritten(b) == g.pages_per_block) {
+            bm.EraseOrRetire(b, IoPurpose::kGcMigration);
+            break;
+          }
+        }
+      } else if (kind < 90) {
+        // Cross the fail budget of an active user block: its slot is
+        // vacated.
+        std::vector<BlockId> held = bm.ActiveBlocks();
+        if (!held.empty()) {
+          BlockId b = held[rng.Uniform(held.size())];
+          if (bm.BlockType(b) == PageType::kUser) {
+            for (int f = 0; f < 3; ++f) bm.OnProgramFailed({b, 0});
+          }
+        }
+      } else if (kind < 95) {
+        BlockId b = static_cast<BlockId>(rng.Uniform(g.num_blocks));
+        ++seq;
+        bm.Pin(b, seq);
+        uint64_t& pin = pins[b];
+        pin = std::max(pin, seq);
+      } else if (kind < 98) {
+        uint64_t through = seq > 0 ? rng.Uniform(seq + 1) : 0;
+        bm.UnpinThrough(through);
+        for (auto it = pins.begin(); it != pins.end();) {
+          it = it->second <= through ? pins.erase(it) : std::next(it);
+        }
+      } else {
+        // Power failure: rebuild from the BID (partial blocks resume as
+        // actives), then forget the RAM-only metadata bookkeeping.
+        std::vector<BlockManager::BidEntry> bid(g.num_blocks);
+        for (BlockId b = 0; b < g.num_blocks; ++b) {
+          PageReadResult r = dev.ReadSpare({b, 0}, IoPurpose::kRecovery);
+          if (!r.written) continue;
+          bid[b].type = r.spare.type;
+          bid[b].first_seq = r.spare.seq;
+          bid[b].pages_written = dev.PagesWritten(b);
+          bid[b].temp = bm.BlockTemp(b);
+        }
+        bm.ResetRamState();
+        pins.clear();
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectBookkeepingMatchesBruteForce(bm, g.num_blocks, pins));
+        bm.RecoverFromBid(bid);
+        std::vector<PhysicalAddress> live;
+        for (const PhysicalAddress& a : live_meta) {
+          if (bm.BlockType(a.block) != PageType::kFree) live.push_back(a);
+        }
+        live_meta = live;
+        bm.RecoverMetadataLiveCounts(live_meta);
+      }
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectBookkeepingMatchesBruteForce(bm, g.num_blocks, pins));
+    }
+  }
 }
 
 TEST(BlockManagerDeathTest, ExhaustionAborts) {

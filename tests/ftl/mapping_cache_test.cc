@@ -1,8 +1,13 @@
 #include "ftl/mapping_cache.h"
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tests/ftl/ftl_test_util.h"
+#include "util/random.h"
 
 namespace gecko {
 namespace {
@@ -58,8 +63,7 @@ TEST(MappingCacheTest, DirtyCountTracksFlags) {
   EXPECT_EQ(cache.dirty_count(), 2u);
   cache.MarkDirty(e);  // idempotent
   EXPECT_EQ(cache.dirty_count(), 2u);
-  e->dirty = false;
-  cache.NoteCleaned();
+  cache.MarkClean(e);
   EXPECT_EQ(cache.dirty_count(), 1u);
   cache.Erase(1);  // erasing a dirty entry decrements
   EXPECT_EQ(cache.dirty_count(), 0u);
@@ -303,6 +307,164 @@ TEST(MappingCacheEvictionPolicyTest, MissJoinThenHitSurvivesFullCache) {
     cache.Erase(cache.PeekEvictionVictim());
     EXPECT_NE(cache.Find(99), nullptr) << "hotness=" << hotness_mode;
   }
+}
+
+// The orders the FTL's simulated behaviour depends on, pinned against a
+// reference model (a plain LRU vector plus an ordered map) under random
+// operations: LRU-to-MRU order, OldestDirty, hotness-scored eviction
+// victims, and ascending lpn order from DirtyInRange and TakeCheckpoint.
+class CacheModel {
+ public:
+  struct Entry {
+    bool dirty = false;
+    uint64_t epoch = 0;
+  };
+  std::vector<Lpn> lru;  // front = LRU
+  std::map<Lpn, Entry> entries;
+  uint64_t epoch = 1;
+
+  void Touch(Lpn lpn) {
+    lru.erase(std::find(lru.begin(), lru.end(), lpn));
+    lru.push_back(lpn);
+  }
+  void Insert(Lpn lpn, bool dirty) {
+    lru.push_back(lpn);
+    entries[lpn] = Entry{dirty, dirty ? epoch : 0};
+  }
+  void Erase(Lpn lpn) {
+    lru.erase(std::find(lru.begin(), lru.end(), lpn));
+    entries.erase(lpn);
+  }
+  Lpn Victim(uint64_t (*score)(Lpn), uint32_t depth) const {
+    if (depth <= 1 || lru.size() < 2) return lru.front();
+    size_t limit = std::min<size_t>(depth, lru.size() - 1);
+    Lpn victim = lru.front();
+    for (size_t i = 1; i < limit; ++i) {
+      if (score(lru[i]) < score(victim)) victim = lru[i];
+    }
+    return victim;
+  }
+  std::vector<Lpn> DirtyInRange(Lpn lo, Lpn hi) const {
+    std::vector<Lpn> out;
+    for (auto it = entries.lower_bound(lo);
+         it != entries.end() && it->first <= hi; ++it) {
+      if (it->second.dirty) out.push_back(it->first);
+    }
+    return out;
+  }
+  std::vector<Lpn> TakeCheckpoint() {
+    std::vector<Lpn> out;
+    for (const auto& [lpn, e] : entries) {
+      if (e.dirty && e.epoch < epoch) out.push_back(lpn);
+    }
+    ++epoch;
+    return out;
+  }
+  bool OldestDirty(Lpn* out) const {
+    for (Lpn lpn : lru) {
+      if (entries.at(lpn).dirty) {
+        *out = lpn;
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+uint64_t PinScore(Lpn lpn) { return (uint64_t{lpn} * 2654435761u) % 5; }
+
+TEST(MappingCacheOrderTest, MatchesReferenceModelUnderRandomOps) {
+  for (uint32_t depth : {1u, 4u}) {
+    SCOPED_TRACE(depth);
+    MappingCache cache(64);
+    if (depth > 1) cache.SetEvictionPolicy(PinScore, depth);
+    CacheModel model;
+    Rng rng(depth);
+    const Lpn kSpace = 300;  // several 16-lpn groups per DirtyInRange
+    for (int op = 0; op < 20000; ++op) {
+      const Lpn lpn = static_cast<Lpn>(rng.Uniform(kSpace));
+      const uint64_t kind = rng.Uniform(100);
+      const bool present = model.entries.count(lpn) > 0;
+      if (kind < 30) {
+        MappingEntry* e = cache.Find(lpn);
+        ASSERT_EQ(e != nullptr, present);
+        if (present) model.Touch(lpn);
+      } else if (kind < 45) {
+        if (present) {
+          cache.MarkDirty(cache.Find(lpn));
+          model.Touch(lpn);
+          model.entries[lpn].dirty = true;
+          model.entries[lpn].epoch = model.epoch;
+        }
+      } else if (kind < 55) {
+        MappingEntry* e = cache.Find(lpn);
+        if (present) {
+          model.Touch(lpn);
+          if (e->dirty) {
+            cache.MarkClean(e);
+            model.entries[lpn].dirty = false;
+          }
+        }
+      } else if (kind < 85) {
+        if (!present) {
+          while (cache.NeedsEviction()) {
+            Lpn victim = cache.PeekEvictionVictim();
+            ASSERT_EQ(victim, model.Victim(PinScore, depth));
+            cache.Erase(victim);
+            model.Erase(victim);
+          }
+          bool dirty = rng.Bernoulli(0.5);
+          if (rng.Bernoulli(0.5)) {
+            cache.Insert(lpn, E(lpn, dirty));
+          } else {
+            cache.InsertIfAbsent(lpn, E(lpn, dirty));
+          }
+          model.Insert(lpn, dirty);
+        } else {
+          cache.InsertIfAbsent(lpn, E(lpn, true));  // present: no effect
+        }
+      } else if (kind < 92) {
+        if (present) {
+          cache.Erase(lpn);
+          model.Erase(lpn);
+        }
+      } else if (kind < 99) {
+        Lpn lo = static_cast<Lpn>(rng.Uniform(kSpace));
+        Lpn hi = lo + static_cast<Lpn>(rng.Uniform(40));
+        ASSERT_EQ(cache.DirtyInRange(lo, hi), model.DirtyInRange(lo, hi));
+      } else {
+        ASSERT_EQ(cache.TakeCheckpoint(), model.TakeCheckpoint());
+      }
+      ASSERT_EQ(cache.LruToMruOrder(), model.lru);
+      ASSERT_EQ(cache.size(), model.entries.size());
+      uint32_t dirty = 0;
+      for (const auto& [l, e] : model.entries) dirty += e.dirty ? 1 : 0;
+      ASSERT_EQ(cache.dirty_count(), dirty);
+      Lpn got = 0, want = 0;
+      bool has = cache.OldestDirty(&got);
+      ASSERT_EQ(has, model.OldestDirty(&want));
+      if (has) {
+        ASSERT_EQ(got, want);
+      }
+      if (cache.size() > 0) {
+        ASSERT_EQ(cache.PeekEvictionVictim(), model.Victim(PinScore, depth));
+      }
+    }
+  }
+}
+
+TEST(MappingCacheOrderTest, DirtyInRangeAndCheckpointAreAscending) {
+  MappingCache cache(32);
+  // Inserted out of lpn order, with clean entries interleaved.
+  const Lpn kLpns[] = {47, 3, 31, 16, 5, 40, 17, 2, 33, 15};
+  for (Lpn lpn : kLpns) cache.Insert(lpn, E(lpn, /*dirty=*/lpn % 3 != 0));
+  EXPECT_EQ(cache.DirtyInRange(0, 63),
+            (std::vector<Lpn>{2, 5, 16, 17, 31, 40, 47}));
+  EXPECT_EQ(cache.DirtyInRange(16, 31), (std::vector<Lpn>{16, 17, 31}));
+  EXPECT_TRUE(cache.TakeCheckpoint().empty());
+  cache.MarkDirty(cache.Find(40));  // re-dirtied: not stale at the next one
+  EXPECT_EQ(cache.TakeCheckpoint(),
+            (std::vector<Lpn>{2, 5, 16, 17, 31, 47}));
 }
 
 TEST(MappingCacheDeathTest, DoubleInsertAborts) {

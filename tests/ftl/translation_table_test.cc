@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "ftl/block_manager.h"
+#include "ftl/gecko_ftl.h"
+#include "util/random.h"
 
 namespace gecko {
 namespace {
@@ -21,7 +23,10 @@ class TranslationTableTest : public ::testing::Test {
   TranslationTableTest()
       : device_(SmallGeometry()),
         blocks_(&device_, true),
-        table_(SmallGeometry(), &device_, &blocks_) {}
+        table_(SmallGeometry(), &device_, &blocks_) {
+    blocks_.SetEraseObserver(
+        [this](BlockId block) { table_.OnBlockErased(block); });
+  }
 
   std::vector<PhysicalAddress> FreshMappings() {
     return std::vector<PhysicalAddress>(table_.entries_per_page(),
@@ -92,6 +97,48 @@ TEST_F(TranslationTableTest, OnBlockErasedDropsImages) {
   table_.OnBlockErased(loc.block);
   EXPECT_DEATH(table_.ReadVersion(loc, IoPurpose::kOther),
                "no translation page");
+}
+
+TEST_F(TranslationTableTest, AutoEraseDropsImagesOfTheErasedBlock) {
+  // Section 4.2: once every version in a translation block is superseded,
+  // the block manager erases it on its own. The erased versions must be
+  // gone, not readable as stale mappings.
+  std::vector<PhysicalAddress> m = FreshMappings();
+  table_.CommitTPage(0, m, IoPurpose::kTranslation);
+  const PhysicalAddress first = table_.Location(0);
+  const uint32_t pages = SmallGeometry().pages_per_block;
+  for (uint32_t i = 0; i < pages; ++i) {
+    m[i] = PhysicalAddress{i, 0};
+    table_.CommitTPage(0, m, IoPurpose::kTranslation);
+  }
+  ASSERT_NE(table_.Location(0).block, first.block);
+  ASSERT_EQ(blocks_.metadata_blocks_erased(), 1u);
+  EXPECT_DEATH(table_.ReadVersion(first, IoPurpose::kOther),
+               "no translation page");
+}
+
+TEST(TranslationImageTest, RetainedImagesStayBoundedByTranslationBlocks) {
+  // Uniform single-page updates with a small cache sync translation pages
+  // constantly; GeckoFTL erases each fully superseded translation block
+  // itself. Every retained image must sit on a translation block.
+  Geometry g;
+  g.num_blocks = 128;
+  g.pages_per_block = 16;
+  g.page_bytes = 512;
+  g.logical_ratio = 0.7;
+  g.num_channels = 4;
+  FlashDevice device(g);
+  GeckoFtl ftl(&device, GeckoFtl::DefaultConfig(32));
+  const uint64_t lpns = g.NumLogicalPages();
+  Rng rng(11);
+  for (int i = 0; i < 40000; ++i) {
+    ASSERT_TRUE(ftl.Write(static_cast<Lpn>(rng.Uniform(lpns)), i).ok());
+  }
+  const uint64_t translation_blocks =
+      ftl.block_manager().BlocksOfType(PageType::kTranslation).size();
+  EXPECT_GT(ftl.block_manager().metadata_blocks_erased(), 0u);
+  EXPECT_LE(ftl.translation().NumRetainedImages(),
+            translation_blocks * g.pages_per_block);
 }
 
 TEST_F(TranslationTableTest, RecoverGmdFindsAllVersionsInOrder) {
