@@ -54,8 +54,7 @@ Status AsyncEngine::Submit(IoRequest&& request, CompletionCb on_complete) {
   r.on_complete = std::move(on_complete);
   r.cls = RequestClassOf(r.request.op);
   r.submit_us = device_->now_us();
-  r.keys = host_->DependencyKeys(r.request);
-  ClaimKeys(r);
+  ClaimKeys(r, host_->DependencyKeys(r.request));
   ++stats_.admitted;
   device_->stats().OnHostAdmit();
 
@@ -69,23 +68,25 @@ Status AsyncEngine::Submit(IoRequest&& request, CompletionCb on_complete) {
 }
 
 bool AsyncEngine::Grantable(const Inflight& r) const {
-  for (size_t i = 0; i < r.keys.size(); ++i) {
-    const KeyClaims& k = keys_[claims_[r.claims[i]].key];
+  for (uint32_t held = r.first_claim; held != FlatIndexMap::kNone;
+       held = claims_[held].next_held) {
+    const bool exclusive = claims_[held].exclusive;
+    const KeyClaims& k = keys_[claims_[held].key];
     // FIFO: only earlier claims (smaller seq, nearer the head) block. An
     // exclusive claim conflicts with any of them; a shared one only with
     // an exclusive one, and there is none to find if the key counts none.
-    if (!r.keys[i].exclusive && k.exclusive == 0) continue;
+    if (!exclusive && k.exclusive == 0) continue;
     for (uint32_t c = k.head; claims_[c].seq < r.seq; c = claims_[c].next) {
-      if (claims_[c].exclusive || r.keys[i].exclusive) return false;
+      if (claims_[c].exclusive || exclusive) return false;
     }
   }
   return true;
 }
 
-void AsyncEngine::ClaimKeys(Inflight& r) {
-  r.claims.resize(r.keys.size());
-  for (size_t i = 0; i < r.keys.size(); ++i) {
-    const DepKey& key = r.keys[i];
+void AsyncEngine::ClaimKeys(Inflight& r, const std::vector<DepKey>& keys) {
+  // Chained in reverse key order; the order of a request's own claims
+  // does not matter.
+  for (const DepKey& key : keys) {
     GECKO_CHECK_LT(key.id, uint64_t{1} << 62);
     const uint64_t packed = key.id << 2 | static_cast<uint64_t>(key.space);
     uint32_t k = key_index_.Find(packed);
@@ -111,7 +112,7 @@ void AsyncEngine::ClaimKeys(Inflight& r) {
     // Append at the tail: admission order is seq order.
     KeyClaims& list = keys_[k];
     claims_[c] = Claim{r.seq, k, list.tail, FlatIndexMap::kNone,
-                       key.exclusive};
+                       r.first_claim, key.exclusive};
     if (list.tail != FlatIndexMap::kNone) {
       claims_[list.tail].next = c;
     } else {
@@ -119,12 +120,13 @@ void AsyncEngine::ClaimKeys(Inflight& r) {
     }
     list.tail = c;
     if (key.exclusive) ++list.exclusive;
-    r.claims[i] = c;
+    r.first_claim = c;
   }
 }
 
 void AsyncEngine::ReleaseKeys(const Inflight& r) {
-  for (uint32_t c : r.claims) {
+  uint32_t c = r.first_claim;
+  while (c != FlatIndexMap::kNone) {
     const Claim& claim = claims_[c];
     KeyClaims& list = keys_[claim.key];
     if (claim.prev != FlatIndexMap::kNone) {
@@ -143,6 +145,7 @@ void AsyncEngine::ReleaseKeys(const Inflight& r) {
       free_keys_.push_back(claim.key);
     }
     free_claims_.push_back(c);
+    c = claim.next_held;
   }
 }
 
@@ -163,7 +166,6 @@ void AsyncEngine::Dispatch(Inflight& r) {
   // completes instantly, at the clock it was serviced on.
   r.complete_us =
       scope.ops > 0 ? scope.last_complete_us : device_->now_us();
-  r.dispatched = true;
   ++stats_.dispatched;
   if (sink.parked.empty()) {
     completion_heap_.push({r.complete_us, r.seq});

@@ -205,14 +205,13 @@ class AsyncEngine {
     IoRequest request;
     CompletionCb on_complete;
     IoResult result;
-    std::vector<DepKey> keys;
-    /// Claim node of each key, parallel to `keys`.
-    std::vector<uint32_t> claims;
+    /// The request's claims, one per dependency key, chained through
+    /// Claim::next_held.
+    uint32_t first_claim = FlatIndexMap::kNone;
     RequestClass cls = RequestClass::kWrite;
     double submit_us = 0;
     double complete_us = 0;
     uint64_t flash_ops = 0;
-    bool dispatched = false;
     /// Extents parked on translation fetches and not yet replayed. The
     /// request enters the completion heap only when this reaches zero.
     uint32_t unresolved = 0;
@@ -234,8 +233,9 @@ class AsyncEngine {
   struct Claim {
     uint64_t seq = 0;
     uint32_t key = 0;  // index into keys_
-    uint32_t prev = FlatIndexMap::kNone;
-    uint32_t next = FlatIndexMap::kNone;
+    uint32_t prev = FlatIndexMap::kNone;       // earlier claim on the key
+    uint32_t next = FlatIndexMap::kNone;       // later claim on the key
+    uint32_t next_held = FlatIndexMap::kNone;  // same request's next claim
     bool exclusive = false;
   };
   /// A key with at least one live claim: its list, oldest first.
@@ -248,7 +248,7 @@ class AsyncEngine {
 
   /// Whether every key of `r` is compatible with all earlier claims.
   bool Grantable(const Inflight& r) const;
-  void ClaimKeys(Inflight& r);
+  void ClaimKeys(Inflight& r, const std::vector<DepKey>& keys);
   void ReleaseKeys(const Inflight& r);
 
   /// Services `r` through the host inside the engine window, capturing

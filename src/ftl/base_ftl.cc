@@ -504,10 +504,10 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result) {
 void BaseFtl::IssueMappingFetch(uint64_t tpage) {
   ++counters_.miss_fetches;
   // One charged flash read pays for every extent parked on this
-  // translation page. The image is not kept: data effects are synchronous
-  // in this simulator, so each replay peeks the then-current image instead
-  // of a snapshot (correct under concurrent GC migration and interleaved
-  // synchronizations of the page).
+  // translation page. The decoded image is discarded: data effects are
+  // synchronous in this simulator, so each replay peeks the then-current
+  // image instead of a snapshot (correct under concurrent GC migration
+  // and interleaved synchronizations of the page).
   translation_.ReadTPage(static_cast<TPageId>(tpage), IoPurpose::kTranslation);
 }
 

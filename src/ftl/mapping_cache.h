@@ -11,10 +11,10 @@
 //               verifies them (Appendix C.3).
 //
 // Layout: entries live in a node array; a flat open-addressing hash table
-// (util/flat_index_map.h) maps an lpn to its node. An
-// intrusive doubly-linked list through the nodes orders them by recency,
-// and a second one per translation page links that page's dirty entries,
-// so a synchronization operation finds the entries it flushes together
+// (util/flat_index_map.h) maps an lpn to its node. An intrusive doubly-
+// linked list through the nodes orders them by recency, and a second one
+// per translation page links that page's dirty entries, so a
+// synchronization operation finds the entries it flushes together
 // (footnote 6) without a range scan over the whole cache. Lookups,
 // inserts, erases and recency updates are O(1); nothing is allocated per
 // entry. Checkpoints (Section 4.3) keep a per-entry dirtying epoch rather
@@ -54,7 +54,8 @@ class MappingCache {
   explicit MappingCache(uint32_t capacity, uint32_t lpns_per_tpage = 1);
 
   /// Looks up `lpn` and refreshes its recency. Returns nullptr on miss.
-  /// Entry pointers stay valid until the next Insert, Erase or Reset.
+  /// Entry pointers stay valid until the next Insert or Reset, or until
+  /// the entry itself is erased.
   MappingEntry* Find(Lpn lpn);
 
   /// Looks up without touching recency (used by GC's UIP check, which
@@ -158,8 +159,7 @@ class MappingCache {
   /// Drops everything (power failure).
   void Reset();
 
-  /// All lpns currently cached, in LRU-to-MRU order (used by battery-
-  /// backed shutdown sync and by tests).
+  /// All lpns currently cached, in LRU-to-MRU order (for tests).
   std::vector<Lpn> LruToMruOrder() const;
 
  private:

@@ -376,7 +376,7 @@ uint64_t PinScore(Lpn lpn) { return (uint64_t{lpn} * 2654435761u) % 5; }
 TEST(MappingCacheOrderTest, MatchesReferenceModelUnderRandomOps) {
   for (uint32_t depth : {1u, 4u}) {
     SCOPED_TRACE(depth);
-    MappingCache cache(64);
+    MappingCache cache(64, /*lpns_per_tpage=*/16);
     if (depth > 1) cache.SetEvictionPolicy(PinScore, depth);
     CacheModel model;
     Rng rng(depth);
@@ -454,7 +454,7 @@ TEST(MappingCacheOrderTest, MatchesReferenceModelUnderRandomOps) {
 }
 
 TEST(MappingCacheOrderTest, DirtyInRangeAndCheckpointAreAscending) {
-  MappingCache cache(32);
+  MappingCache cache(32, /*lpns_per_tpage=*/16);
   // Inserted out of lpn order, with clean entries interleaved.
   const Lpn kLpns[] = {47, 3, 31, 16, 5, 40, 17, 2, 33, 15};
   for (Lpn lpn : kLpns) cache.Insert(lpn, E(lpn, /*dirty=*/lpn % 3 != 0));
