@@ -90,10 +90,10 @@ def report(workload, pairs, spec):
             verdict = "worse"
         else:
             verdict = "no claim"
-        print("%-13s %9.4g [%6.4g, %6.4g] %9.4g [%6.4g, %6.4g] %7.3fx %3d/%-2d  %s"
-              % (name, bmed, bq1, bq3, cmed, cq1, cq3,
-                 cmed / bmed if bmed else float("nan"), wins, len(pairs),
-                 verdict))
+        ratio = cmed / bmed if bmed else float("nan")
+        print("%-13s %9.4g [%6.4g, %6.4g] %9.4g [%6.4g, %6.4g] %7.3fx"
+              " %3d/%-2d  %s" % (name, bmed, bq1, bq3, cmed, cq1, cq3,
+                                 ratio, wins, len(pairs), verdict))
 
 
 def main():
@@ -125,7 +125,9 @@ def main():
                 got = {side: run(trees[side], workload, seed, args.seconds)
                        for side in order}
                 for name, value in got["base"].items():
-                    if name not in HOST_METRICS and got["change"][name] != value:
+                    if name in HOST_METRICS:
+                        continue
+                    if got["change"][name] != value:
                         mismatches.append("%s seed %d %s: %r vs %r" % (
                             workload, seed, name, value, got["change"][name]))
                 pairs.append((got["base"], got["change"]))
