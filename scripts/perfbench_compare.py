@@ -5,8 +5,8 @@
         --workloads update_uniform --pairs 10 --first-seed 201 --seconds 10
 
 Each side is a git ref, exported with `git archive` into a temporary
-directory, or an existing source tree given by its path. Both sides are
-built and run through their own perfbench/run.py, with identical settings.
+directory. Both sides are built and run through their own perfbench/run.py,
+with identical settings.
 For every workload the script runs --pairs pairs; pair i runs both sides on
 seed first_seed + i and alternates which side goes first.
 
@@ -35,10 +35,7 @@ HOST_METRICS = ("host_kops", "setup_s", "host_rss_mib")
 
 
 def export(ref, scratch, name):
-    """Returns a source tree for `ref`: the path itself if it is a
-    directory, otherwise a `git archive` export of the ref."""
-    if os.path.isdir(ref):
-        return os.path.abspath(ref)
+    """Returns a `git archive` export of `ref` under `scratch`."""
     tree = os.path.join(scratch, name)
     os.makedirs(tree)
     archive = subprocess.run(["git", "-C", ROOT, "archive", ref],
@@ -98,9 +95,9 @@ def report(workload, pairs, spec):
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--base", required=True, help="git ref or directory")
+    parser.add_argument("--base", required=True, help="git ref")
     parser.add_argument("--change", required=True,
-                        help="git ref or directory")
+                        help="git ref")
     parser.add_argument("--workloads",
                         default="update_uniform,read_zipf,sharded_mixed")
     parser.add_argument("--pairs", type=int, default=10)

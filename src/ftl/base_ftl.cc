@@ -724,14 +724,16 @@ void BaseFtl::NoteCacheOp() {
 
 void BaseFtl::TakeCheckpoint() {
   ++counters_.checkpoints;
-  std::vector<Lpn> stale_dirty = cache_.TakeCheckpoint();
   // Synchronize per translation page (entries of the same page flush
-  // together, amortizing the write).
-  std::vector<TPageId> tpages;
-  for (Lpn lpn : stale_dirty) tpages.push_back(translation_.TPageOf(lpn));
-  std::sort(tpages.begin(), tpages.end());
-  tpages.erase(std::unique(tpages.begin(), tpages.end()), tpages.end());
-  for (TPageId t : tpages) SyncTranslationPage(t);
+  // together, amortizing the write). The lpns come in ascending order, so
+  // each page's entries are adjacent and the pages sync in ascending order.
+  TPageId last = kInvalidU32;
+  for (Lpn lpn : cache_.TakeCheckpoint()) {
+    TPageId t = translation_.TPageOf(lpn);
+    if (t == last) continue;
+    SyncTranslationPage(t);
+    last = t;
+  }
 }
 
 void BaseFtl::EnforceDirtyCap() {
@@ -862,7 +864,7 @@ uint64_t BaseFtl::IdleTick() {
 }
 
 BlockId BaseFtl::SelectVictim() {
-  // One linear scan through the pluggable policy object. The paper's
+  // One linear scan with the scoring class of config_.gc_policy. The paper's
   // kNeverCollectMetadata (and cost-benefit) restrict the candidate set
   // to user blocks (Section 4.2); greedy-all admits metadata blocks.
   const Geometry& g = device_->geometry();
@@ -883,30 +885,29 @@ BlockId BaseFtl::SelectVictim() {
   constexpr uint32_t kMigrationReserve = 4;
   const bool migration_safe = device_->NumBadBlocks() == 0 ||
                               blocks_.NumFreeBlocks() >= kMigrationReserve;
-  // The channel clocks cannot move during the scan: read each once.
-  std::vector<double> busy_us(g.num_channels);
-  for (ChannelId ch = 0; ch < g.num_channels; ++ch) {
-    busy_us[ch] = device_->ChannelBusyUntilUs(ch);
-  }
-  BlockId best = SelectGcVictim(
-      g.num_blocks, *victim_policy_, [&](BlockId b, GcVictimCandidate* c) {
-        PageType type = blocks_.BlockType(b);
-        if (type == PageType::kFree) return false;
-        if (blocks_.IsActive(b) || blocks_.IsPinned(b)) return false;
-        if (!metadata_ok && type != PageType::kUser) return false;
-        uint32_t written = device_->PagesWritten(b);
-        uint32_t invalid = type == PageType::kUser
-                               ? bvc_[b]
-                               : written - blocks_.MetadataLivePages(b);
-        c->valid = written >= invalid ? written - invalid : 0;
-        if (!migration_safe && c->valid > 0) return false;
-        c->written = written;
-        c->pages_per_block = g.pages_per_block;
-        uint64_t last = device_->LastProgramSeq(b);
-        c->age = now_seq >= last ? now_seq - last : 0;
-        c->channel_busy_until_us = busy_us[g.ChannelOf(b)];
-        return true;
-      });
+  auto describe = [&](BlockId b, GcVictimCandidate* c) {
+    PageType type = blocks_.BlockType(b);
+    if (type == PageType::kFree) return false;
+    if (blocks_.IsActive(b) || blocks_.IsPinned(b)) return false;
+    if (!metadata_ok && type != PageType::kUser) return false;
+    uint32_t written = device_->PagesWritten(b);
+    uint32_t invalid = type == PageType::kUser
+                           ? bvc_[b]
+                           : written - blocks_.MetadataLivePages(b);
+    c->valid = written >= invalid ? written - invalid : 0;
+    if (!migration_safe && c->valid > 0) return false;
+    c->written = written;
+    c->pages_per_block = g.pages_per_block;
+    uint64_t last = device_->LastProgramSeq(b);
+    c->age = now_seq >= last ? now_seq - last : 0;
+    return true;
+  };
+  BlockId best =
+      config_.gc_policy == GcPolicy::kCostBenefit
+          ? SelectGcVictim(*device_, g.num_blocks, CostBenefitVictimPolicy(),
+                           describe)
+          : SelectGcVictim(*device_, g.num_blocks, GreedyVictimPolicy(),
+                           describe);
   // kInvalidU32 when nothing is collectable — the caller's problem
   // (GcStep reports no progress; the emergency path degrades).
   return best;

@@ -106,7 +106,8 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// flight). Tests use this to inject crashes at step boundaries.
   GcPhase gc_phase() const { return gc_.phase; }
 
-  /// The active victim-selection policy object.
+  /// The victim-selection policy object for config().gc_policy, for
+  /// reporting; SelectVictim scans with the same concrete class.
   const GcVictimPolicy& victim_policy() const { return *victim_policy_; }
 
   /// The write-temperature estimator (hot/cold stream separation).

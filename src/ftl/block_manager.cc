@@ -13,8 +13,7 @@ BlockManager::BlockManager(FlashDevice* device, bool auto_erase_metadata)
       block_temp_(device->geometry().num_blocks, 0),
       meta_live_(device->geometry().num_blocks, 0),
       free_pool_(stripe_),
-      active_refs_(device->geometry().num_blocks, 0),
-      pinned_flag_(device->geometry().num_blocks, 0) {
+      active_refs_(device->geometry().num_blocks, 0) {
   for (BlockId b = 0; b < device->geometry().num_blocks; ++b) {
     PushFreeBlock(b);  // refuses factory-bad blocks
   }
@@ -228,7 +227,6 @@ std::vector<BlockId> BlockManager::ActiveBlocks() const {
 void BlockManager::Pin(BlockId block, uint64_t seq) {
   auto it = pinned_.find(block);
   if (it == pinned_.end() || it->second < seq) pinned_[block] = seq;
-  pinned_flag_[block] = 1;
 }
 
 void BlockManager::UnpinThrough(uint64_t seq) {
@@ -236,7 +234,6 @@ void BlockManager::UnpinThrough(uint64_t seq) {
     if (it->second <= seq) {
       BlockId block = it->first;
       it = pinned_.erase(it);
-      pinned_flag_[block] = 0;
       // The pin may have been the only thing delaying an erase.
       if (auto_erase_metadata_ && block_type_[block] != PageType::kUser &&
           block_type_[block] != PageType::kFree) {
@@ -275,7 +272,6 @@ void BlockManager::ResetRamState() {
   next_slot_.fill(0);
   std::fill(user_next_slot_.begin(), user_next_slot_.end(), 0u);
   pinned_.clear();
-  std::fill(pinned_flag_.begin(), pinned_flag_.end(), uint8_t{0});
   // Pending retirement marks are lost with the RAM; blocks already retired
   // persist in the medium and PushFreeBlock keeps refusing them.
   bad_blocks_.ResetRamState();

@@ -82,7 +82,7 @@ class BlockManager : public PageAllocator {
   /// slots (a block held by several slots is listed once per slot). For
   /// tests and invariant checks; the hot path asks IsActive.
   std::vector<BlockId> ActiveBlocks() const;
-  bool IsPinned(BlockId block) const { return pinned_flag_[block] != 0; }
+  bool IsPinned(BlockId block) const { return pinned_.count(block) > 0; }
   uint32_t NumFreeBlocks() const { return free_pool_.size(); }
   /// Smallest the free pool has ever been right after a block was taken.
   /// Lifetime, including allocations made while recovery itself runs —
@@ -198,7 +198,6 @@ class BlockManager : public PageAllocator {
   /// Per block: how many stripe slots hold it (IsActive without a scan).
   std::vector<uint8_t> active_refs_;
   std::map<BlockId, uint64_t> pinned_;  // block -> pin sequence
-  std::vector<uint8_t> pinned_flag_;    // per block: present in pinned_
   std::function<void(BlockId)> erase_observer_;
   uint64_t metadata_blocks_erased_ = 0;
   uint32_t free_pool_low_ = ~0u;

@@ -27,7 +27,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <vector>
 
+#include "flash/flash_device.h"
 #include "flash/types.h"
 #include "ftl/ftl_config.h"
 
@@ -101,12 +104,25 @@ inline bool GcPolicyCollectsMetadata(GcPolicy policy) {
   return policy == GcPolicy::kGreedyAll;
 }
 
-/// The scan loop of SelectGcVictim for one policy type. Instantiated
-/// with a `final` policy class, the per-block Score call is direct and
-/// inlines.
+/// One linear victim scan over blocks [0, num_blocks) of `device`.
+/// `describe` fills the per-block fields of a candidate for an eligible
+/// block and returns true, or returns false to skip it; the scan itself
+/// fills in the block id and its channel's busy clock, read once per scan
+/// since no clock moves during it. Returns the block with the lowest
+/// score — ties prefer the longest-idle channel, then the lowest block id —
+/// or kInvalidU32 when no block is eligible. Shared by BaseFtl::SelectVictim
+/// and PvmDriver. `Policy` is a concrete `final` policy class, so the
+/// per-block Score call is direct and inlines; a caller holding a GcPolicy
+/// value picks the class once per scan.
 template <typename Policy, typename DescribeFn>
-BlockId ScanGcVictims(uint32_t num_blocks, const Policy& policy,
-                      DescribeFn& describe) {
+BlockId SelectGcVictim(const FlashDevice& device, uint32_t num_blocks,
+                       const Policy& policy, DescribeFn&& describe) {
+  static_assert(std::is_final_v<Policy>,
+                "SelectGcVictim takes a concrete policy class");
+  std::vector<double> busy_us(device.num_channels());
+  for (ChannelId ch = 0; ch < busy_us.size(); ++ch) {
+    busy_us[ch] = device.ChannelBusyUntilUs(ch);
+  }
   BlockId best = kInvalidU32;
   double best_score = 0;
   double best_busy = 0;
@@ -114,6 +130,7 @@ BlockId ScanGcVictims(uint32_t num_blocks, const Policy& policy,
     GcVictimCandidate c;
     c.block = b;
     if (!describe(b, &c)) continue;
+    c.channel_busy_until_us = busy_us[device.ChannelOf(b)];
     double score = policy.Score(c);
     if (best == kInvalidU32 || score < best_score ||
         (score == best_score && c.channel_busy_until_us < best_busy)) {
@@ -123,24 +140,6 @@ BlockId ScanGcVictims(uint32_t num_blocks, const Policy& policy,
     }
   }
   return best;
-}
-
-/// One linear victim scan over blocks [0, num_blocks). `describe` fills a
-/// candidate for an eligible block and returns true, or returns false to
-/// skip it. Returns the block with the lowest score — ties prefer the
-/// longest-idle channel, then the lowest block id — or kInvalidU32 when no
-/// block is eligible. Shared by BaseFtl::SelectVictim and PvmDriver. The
-/// policy's concrete type is resolved once per scan, not once per block.
-template <typename DescribeFn>
-BlockId SelectGcVictim(uint32_t num_blocks, const GcVictimPolicy& policy,
-                       DescribeFn&& describe) {
-  if (const auto* greedy = dynamic_cast<const GreedyVictimPolicy*>(&policy)) {
-    return ScanGcVictims(num_blocks, *greedy, describe);
-  }
-  if (const auto* cb = dynamic_cast<const CostBenefitVictimPolicy*>(&policy)) {
-    return ScanGcVictims(num_blocks, *cb, describe);
-  }
-  return ScanGcVictims(num_blocks, policy, describe);
 }
 
 }  // namespace gecko

@@ -132,19 +132,15 @@ void PvmDriver::CollectOne() {
   // pages == most invalid pages on full blocks), restricted to full,
   // non-active, reclaimable blocks — the same helper the FTLs use, so the
   // microbenchmark's GC cannot drift from theirs.
-  std::vector<double> busy_us(device_->num_channels());
-  for (ChannelId ch = 0; ch < busy_us.size(); ++ch) {
-    busy_us[ch] = device_->ChannelBusyUntilUs(ch);
-  }
   BlockId victim = SelectGcVictim(
-      user_blocks_, victim_policy_, [&](BlockId b, GcVictimCandidate* c) {
+      *device_, user_blocks_, victim_policy_,
+      [&](BlockId b, GcVictimCandidate* c) {
         if (IsActiveBlock(b)) return false;
         if (device_->PagesWritten(b) < pages_per_block) return false;
         if (invalid_count_[b] == 0) return false;
         c->valid = pages_per_block - invalid_count_[b];
         c->written = pages_per_block;
         c->pages_per_block = pages_per_block;
-        c->channel_busy_until_us = busy_us[device_->ChannelOf(b)];
         return true;
       });
   GECKO_CHECK_NE(victim, kInvalidU32) << "PvmDriver: no reclaimable block";

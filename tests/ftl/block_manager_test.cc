@@ -170,8 +170,8 @@ TEST(BlockManagerTest, RecoverFromBidRestoresTypesAndActives) {
   dev.WritePage(next, Spare(PageType::kUser, 99), 99, IoPurpose::kUserWrite);
 }
 
-// IsActive and IsPinned are answered from per-block bookkeeping; these
-// compare them against a brute-force view after every operation that
+// IsActive is answered from a per-block slot count; these compare it and
+// IsPinned against a brute-force view after every operation that
 // assigns or vacates a stripe slot or changes a pin: allocation (normal,
 // stream-affine and compact), program-fail vacates, auto-erase, BID
 // recovery and the RAM reset.

@@ -58,13 +58,20 @@ TEST(GcVictimPolicyTest, CostBenefitPrefersColdBlocksAtEqualUtilization) {
 }
 
 TEST(GcVictimPolicyTest, SelectGcVictimBreaksTiesTowardIdleChannels) {
-  GreedyVictimPolicy greedy;
-  BlockId victim = SelectGcVictim(4, greedy, [](BlockId b,
-                                                GcVictimCandidate* c) {
-    c->valid = 5;  // all tied
-    c->channel_busy_until_us = b == 2 ? 10.0 : 100.0;
-    return true;
-  });
+  // Blocks 0..3 sit on channels 0..3; programming a page on every channel
+  // but 2 leaves channel 2's clock furthest behind.
+  FlashDevice device(FtlTestGeometry(/*num_channels=*/4));
+  SpareArea spare;
+  spare.type = PageType::kUser;
+  for (BlockId b : {0u, 1u, 3u}) {
+    device.WritePage(PhysicalAddress{b, 0}, spare, b, IoPurpose::kUserWrite);
+  }
+  ASSERT_LT(device.ChannelBusyUntilUs(2), device.ChannelBusyUntilUs(0));
+  BlockId victim = SelectGcVictim(device, 4, GreedyVictimPolicy(),
+                                  [](BlockId, GcVictimCandidate* c) {
+                                    c->valid = 5;  // all tied
+                                    return true;
+                                  });
   EXPECT_EQ(victim, 2u);
 }
 
